@@ -218,6 +218,13 @@ TEST(PlanCacheProvenance, CrossProviderCompilesMiss) {
 }
 
 TEST(Autotune, DeterministicWithinProcessAndNeverTimesTwice) {
+  // Only candidates priced within kEstimateGate (4x) of the host model's
+  // leader are timed. Per host_cost.cpp, Winograd leaves the shortlist of
+  // same(8,16,12,3) once GB/s : GFLOP/s > 0.324, and of same(16,8,10,3)
+  // once it is > 0.52 (FFT never makes either). A measured calibration can
+  // cross both, leaving nothing timed and the re-timing check vacuous; at
+  // 50/10 (ratio 0.2) both shapes time two candidates.
+  PinnedCalibration pin("50", "10");
   ::unsetenv("TDC_AUTOTUNE_CACHE");
   autotune_clear();
   const DeviceSpec device = make_a100();
@@ -261,6 +268,11 @@ TEST(Autotune, PointwiseResolvesWithoutTiming) {
 }
 
 TEST(Autotune, CacheFileRoundTripSkipsRetuning) {
+  // Pinned for the same gate arithmetic as the test above: at 50/10 (GB/s :
+  // GFLOP/s 0.2, under the 0.324 and 0.52 Winograd crossovers) both shapes
+  // shortlist two candidates within kEstimateGate, so the first pass times
+  // something and the cold pass has real timing to skip.
+  PinnedCalibration pin("50", "10");
   const std::string path =
       ::testing::TempDir() + "tdc_autotune_roundtrip.json";
   std::remove(path.c_str());

@@ -10,6 +10,7 @@
 // plan cache, guard enablement flags).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -314,14 +315,17 @@ TEST_F(InvariantTest, ConcurrentSingletonStress) {
         }
         // Concurrent top-level parallel regions: one wins the pool, the
         // rest take the counted inline fallback — all of it must be clean
-        // under TSan.
-        std::int64_t acc = 0;
+        // under TSan. Chunks run concurrently on pool workers, so each sums
+        // into a local and publishes it with one atomic add.
+        std::atomic<std::int64_t> acc{0};
         parallel_for(0, 64, 1, [&](std::int64_t b, std::int64_t e) {
+          std::int64_t partial = 0;
           for (std::int64_t j = b; j < e; ++j) {
-            acc += j;
+            partial += j;
           }
+          acc.fetch_add(partial);
         });
-        EXPECT_EQ(acc, 64 * 63 / 2);
+        EXPECT_EQ(acc.load(), 64 * 63 / 2);
         if (i % 20 == t % 20) {
           // Shared-cache compiles of one shape: every thread hits the same
           // PlanCache entry.
